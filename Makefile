@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test short bench race cover tools experiments clean lint bench-gate baseline staticcheck vet-fix-list check-examples fuzz faultcheck soak
+.PHONY: all build test short bench race cover tools experiments clean lint bench-gate baseline staticcheck vet-fix-list check-examples fuzz faultcheck soak bench-selftest
 
 all: build test
 
@@ -77,6 +77,11 @@ soak:
 # committed baseline (the same gate CI runs).
 bench-gate:
 	$(GO) run ./cmd/benchgate -emit BENCH_ci.json -baseline bench_baseline.json -tol 0.05
+
+# bench-selftest builds the repository benchmark (perfbench/, its own
+# module compiled against this one) and runs its self-test.
+bench-selftest:
+	cd perfbench && GOFLAGS=-mod=mod $(GO) test ./...
 
 # baseline refreshes bench_baseline.json after an intentional QoR change.
 baseline:

@@ -274,13 +274,12 @@ func TestFlowCancelledContextFailsFast(t *testing.T) {
 // TestStageTimeoutCooperative: a stage that honors its context is cut off
 // at the configured deadline and reports context.DeadlineExceeded.
 func TestStageTimeoutCooperative(t *testing.T) {
-	res := &Result{tr: obs.New("timeout")}
-	opts := &Options{StageTimeout: 20 * time.Millisecond}
+	r := &flowRun{Result: &Result{tr: obs.New("timeout")}, opts: &Options{StageTimeout: 20 * time.Millisecond}}
 	start := time.Now()
-	err := res.stage(context.Background(), opts, "VPR place", func(sctx context.Context) error {
+	err := r.stage(context.Background(), tableRow(t, "VPR place", func(_ *flowRun, sctx context.Context) (string, error) {
 		<-sctx.Done()
-		return sctx.Err()
-	})
+		return "", sctx.Err()
+	}))
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("stage timeout did not bound the stage")
 	}
@@ -297,14 +296,13 @@ func TestStageTimeoutCooperative(t *testing.T) {
 // entirely is abandoned after the grace period — the flow still returns.
 func TestStageTimeoutAbandonsStuckStage(t *testing.T) {
 	tr := obs.New("stuck")
-	res := &Result{tr: tr}
-	opts := &Options{StageTimeout: 10 * time.Millisecond}
+	r := &flowRun{Result: &Result{tr: tr}, opts: &Options{StageTimeout: 10 * time.Millisecond}}
 	release := make(chan struct{})
 	defer close(release)
-	err := res.stage(context.Background(), opts, "SIS", func(context.Context) error {
+	err := r.stage(context.Background(), tableRow(t, "SIS", func(*flowRun, context.Context) (string, error) {
 		<-release // simulates a wedged, non-cooperative stage
-		return nil
-	})
+		return "", nil
+	}))
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stuck stage returned %v, want DeadlineExceeded", err)
 	}
@@ -317,10 +315,10 @@ func TestStageTimeoutAbandonsStuckStage(t *testing.T) {
 // the process nor loses the panic — it comes back as a *PanicError with a
 // stack, wrapped in the stage's *StageError, and is never retried.
 func TestStagePanicBecomesStructuredError(t *testing.T) {
-	res := &Result{tr: obs.New("panic")}
-	err := res.stage(context.Background(), &Options{}, "DAGGER", func(context.Context) error {
+	r := &flowRun{Result: &Result{tr: obs.New("panic")}, opts: &Options{}}
+	err := r.stage(context.Background(), tableRow(t, "DAGGER", func(*flowRun, context.Context) (string, error) {
 		panic("bitstream generator bug")
-	})
+	}))
 	var se *StageError
 	if !errors.As(err, &se) {
 		t.Fatalf("panic produced untyped error: %v", err)
@@ -379,9 +377,47 @@ func TestRunRetryReseedsAndStops(t *testing.T) {
 	}
 }
 
+// tableRow returns the flow table's row for tool with its body replaced
+// by run (and no lint), so tests can stall or crash a real stage.
+func tableRow(t *testing.T, tool string, run func(*flowRun, context.Context) (string, error)) *flowStage {
+	t.Helper()
+	for _, st := range flowStages {
+		if st.tool == tool {
+			return &flowStage{tool: tool, seedDependent: st.seedDependent, run: run}
+		}
+	}
+	t.Fatalf("no stage %q in the flow table", tool)
+	return nil
+}
+
 // TestRunRetryDoesNotRetryDeterministicFailures: capacity errors and
-// upstream (seed-independent) stages fail on the first attempt.
+// upstream (seed-independent) stages fail on the first attempt. The retry
+// classification is pinned per stage over the flow table: exactly the
+// stages from placement on depend on the seed, so only their plain
+// failures are retryable.
 func TestRunRetryDoesNotRetryDeterministicFailures(t *testing.T) {
+	seedDependent := map[string]bool{"VPR place": true, "VPR route": true, "Timing": true,
+		"PowerModel": true, "DAGGER": true, "Verify": true}
+	seen := 0
+	for i := range flowStages {
+		st := &flowStages[i]
+		want := seedDependent[st.tool]
+		if want {
+			seen++
+		}
+		if st.seedDependent != want {
+			t.Errorf("stage %q seedDependent = %v, want %v", st.tool, st.seedDependent, want)
+		}
+		if got := retryableCause(st, errors.New("transient")); got != want {
+			t.Errorf("stage %q: plain failure retryable = %v, want %v", st.tool, got, want)
+		}
+		if retryableCause(st, &PanicError{Value: "bug"}) || retryableCause(st, context.DeadlineExceeded) {
+			t.Errorf("stage %q: a panic or deadline classified retryable", st.tool)
+		}
+	}
+	if seen != len(seedDependent) {
+		t.Errorf("flow table has %d of the %d seed-dependent stages", seen, len(seedDependent))
+	}
 	for _, tc := range []struct {
 		name string
 		err  *StageError
@@ -394,7 +430,7 @@ func TestRunRetryDoesNotRetryDeterministicFailures(t *testing.T) {
 			_, err := runRetry(context.Background(), Options{Retry: DefaultRetryPolicy()},
 				func(context.Context, Options) (*Result, error) {
 					calls++
-					tc.err.retryable = retryableCause(tc.err.Stage, tc.err.Err)
+					tc.err.retryable = retryableCause(tableRow(t, tc.err.Stage, nil), tc.err.Err)
 					return nil, tc.err
 				})
 			if err == nil || calls != 1 {
@@ -416,7 +452,7 @@ func TestRunRetryEscalatesOnce(t *testing.T) {
 	}, func(_ context.Context, o Options) (*Result, error) {
 		minW = append(minW, o.MinChannelWidth)
 		return nil, &StageError{Stage: "VPR route",
-			Err: route.ErrUnroutable, retryable: retryableCause("VPR route", route.ErrUnroutable)}
+			Err: route.ErrUnroutable, retryable: retryableCause(tableRow(t, "VPR route", nil), route.ErrUnroutable)}
 	})
 	if err == nil {
 		t.Fatal("still-unroutable run reported success")

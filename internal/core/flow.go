@@ -95,10 +95,6 @@ type Options struct {
 	// PowerAwarePack groups registered BLEs into shared clusters so gated
 	// clock trees cover fewer CLBs (pack.Params.GroupGated).
 	PowerAwarePack bool
-	// PlaceCritAlpha is the timing-driven placement trade-off between
-	// wirelength and criticality weighting (place.CriticalityWeights
-	// alpha); 0 selects the default of 8.
-	PlaceCritAlpha float64
 	// PlaceSeeds runs that many independent annealing seeds in parallel and
 	// keeps the cheapest placement (0/1 = single seed).
 	PlaceSeeds int
@@ -112,12 +108,6 @@ type Options struct {
 	// routes serially. The routing result is identical for every value —
 	// see route.Options.Workers.
 	RouteWorkers int
-	// RRCache, when set, memoizes routing-resource graphs across channel
-	// width trials and flow attempts (keyed by the full architecture
-	// fingerprint; defect masks are re-applied to a private clone per
-	// trial). The hardened runner installs a shared cache automatically, so
-	// this only needs setting to share a cache across independent runs.
-	RRCache *rrgraph.Cache
 	// FixedPads pins primary input pads ("a") and output pads ("out:a") to
 	// grid locations, keeping the pinout stable across compilations.
 	FixedPads map[string]place.Location
@@ -154,10 +144,6 @@ type Options struct {
 	// width escalation and backoff (see RetryPolicy). Zero value = one
 	// attempt, no degradation.
 	Retry RetryPolicy
-	// StageStart, when set, is invoked at the entry of every stage with the
-	// tool name (GUI progress reporting; fault-injection tests use it to
-	// simulate stuck or crashing stages).
-	StageStart func(stage string)
 	// Obs receives per-stage spans and stage-specific counters for the run.
 	// nil falls back to the process-global trace (obs.Global), which is
 	// itself a no-op unless a main installed one.
@@ -179,6 +165,10 @@ func (o *Options) trace() *obs.Trace {
 	return obs.Global()
 }
 
+// placeCritAlpha is the timing-driven placement trade-off between
+// wirelength and criticality weighting (place.CriticalityWeights alpha).
+const placeCritAlpha = 8
+
 func (o *Options) fill() {
 	o.Profile.apply(o)
 	if o.CriticalityDrivenRoute {
@@ -189,9 +179,6 @@ func (o *Options) fill() {
 	}
 	if o.PlaceEffort == 0 {
 		o.PlaceEffort = 1
-	}
-	if o.PlaceCritAlpha == 0 {
-		o.PlaceCritAlpha = 8
 	}
 	if o.ActivityCycles == 0 {
 		o.ActivityCycles = 500
@@ -282,12 +269,10 @@ func RunVHDL(src string, opts Options) (*Result, error) {
 // back as structured *StageError values, and the options' RetryPolicy
 // governs re-seeded attempts and graceful degradation.
 func RunVHDLContext(ctx context.Context, src string, opts Options) (*Result, error) {
-	return runRetry(ctx, opts, func(ctx context.Context, o Options) (*Result, error) {
-		return runVHDLOnce(ctx, src, o)
-	})
+	return runFlow(ctx, src, false, opts)
 }
 
-// RunBLIF enters the flow at the SIS stage with a BLIF netlist.
+// RunBLIF enters the flow at the BLIF stage with a BLIF netlist.
 func RunBLIF(blifText string, opts Options) (*Result, error) {
 	return RunBLIFContext(context.Background(), blifText, opts)
 }
@@ -295,435 +280,440 @@ func RunBLIF(blifText string, opts Options) (*Result, error) {
 // RunBLIFContext is RunBLIF under a context and the hardened runner (see
 // RunVHDLContext).
 func RunBLIFContext(ctx context.Context, blifText string, opts Options) (*Result, error) {
+	return runFlow(ctx, blifText, true, opts)
+}
+
+// runFlow walks the stage table under the hardened runner.
+func runFlow(ctx context.Context, src string, fromBLIF bool, opts Options) (*Result, error) {
+	// One RR-graph cache per hardened run: re-seeded retries and
+	// channel-width escalation revisit the same (arch, W) graphs, and each
+	// trial gets a private clone so per-attempt defect masks never
+	// cross-contaminate.
+	rr := rrgraph.NewCache(0)
 	return runRetry(ctx, opts, func(ctx context.Context, o Options) (*Result, error) {
-		return runBLIFOnce(ctx, blifText, o)
+		a := o.Arch
+		if a == nil {
+			a = arch.Paper()
+		}
+		r := &flowRun{Result: &Result{tr: o.trace(), Arch: a.Clone()}, opts: &o, rr: rr,
+			src: src, fromBLIF: fromBLIF}
+		if fromBLIF {
+			r.blif = src
+		}
+		o.Defects.Record(r.tr)
+		for i := range flowStages {
+			st := &flowStages[i]
+			if st.skip != nil && st.skip(r) {
+				continue
+			}
+			if err := r.stage(ctx, st); err != nil {
+				return r.Result, err
+			}
+		}
+		return r.Result, nil
 	})
 }
 
-// runVHDLOnce is a single flow attempt from VHDL source.
-func runVHDLOnce(ctx context.Context, src string, opts Options) (*Result, error) {
-	opts.fill()
-	res := &Result{tr: opts.trace()}
-	var design *vhdl.Design
-
-	// Stage 1: VHDL Parser.
-	err := res.stage(ctx, &opts, "VHDL Parser", func(context.Context) error {
-		var err error
-		design, err = vhdl.Parse(src)
-		if err != nil {
-			return err
-		}
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d entities", len(design.Entities))
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 2: DIVINER synthesis.
-	err = res.stage(ctx, &opts, "DIVINER", func(context.Context) error {
-		nl, err := vhdl.Elaborate(design, opts.Top)
-		if err != nil {
-			return err
-		}
-		res.Source = nl
-		st := nl.Stats()
-		res.tr.Add("synth.gates", int64(st.Logic))
-		res.tr.Add("synth.ffs", int64(st.Latches))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d gates, %d FFs", st.Logic, st.Latches)
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 3+4: EDIF out, DRUID, E2FMT back to BLIF.
-	var blif string
-	err = res.stage(ctx, &opts, "DRUID", func(context.Context) error {
-		text, err := edif.Write(res.Source)
-		if err != nil {
-			return err
-		}
-		res.EDIF, err = edif.Druid(text)
-		return err
-	})
-	if err != nil {
-		return res, err
-	}
-	err = res.stage(ctx, &opts, "E2FMT", func(context.Context) error {
-		var err error
-		blif, err = edif.E2FMT(res.EDIF)
-		if err != nil {
-			return err
-		}
-		// Lint the produced BLIF at the stage boundary: a multi-driven net
-		// here is an E2FMT bug, not a SIS one.
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{BLIF: blif})
-	})
-	if err != nil {
-		return res, err
-	}
-	return res.continueFromBLIF(ctx, blif, opts)
+// flowRun is the state one flow attempt threads through the stage table:
+// the result under construction plus the intermediate artifacts that pass
+// between stages without being part of the Result.
+type flowRun struct {
+	*Result
+	opts     *Options
+	rr       *rrgraph.Cache
+	src      string
+	fromBLIF bool
+	design   *vhdl.Design     // VHDL Parser -> DIVINER
+	blif     string           // the BLIF netlist entering SIS
+	working  *netlist.Netlist // SIS -> LUT map
 }
 
-// runBLIFOnce is a single flow attempt from a BLIF netlist.
-func runBLIFOnce(ctx context.Context, blifText string, opts Options) (*Result, error) {
-	opts.fill()
-	res := &Result{tr: opts.trace()}
-	// Text-level lint runs before the parser so a multi-driven net surfaces
-	// as a named rule violation, not a parse error. Failures here are typed
-	// StageErrors like every other flow failure (corrupted input must fail
-	// fast, not crash or propagate shapeless).
-	if err := res.runChecks(&opts, check.StageNetlist, &check.Artifacts{BLIF: blifText}); err != nil {
-		return res, &StageError{Stage: "BLIF", Err: err}
-	}
-	nl, err := netlist.ParseBLIF(blifText)
-	if err != nil {
-		return res, &StageError{Stage: "BLIF", Err: err}
-	}
-	res.Source = nl
-	return res.continueFromBLIF(ctx, blifText, opts)
+// flowStage is one row of the flow table.
+type flowStage struct {
+	// tool names the stage in Result.Stages, spans, events and errors.
+	tool string
+	// seedDependent marks stages whose outcome depends on the placement
+	// seed: their failures are worth a re-seeded retry. Everything upstream
+	// of placement is deterministic in the input alone.
+	seedDependent bool
+	// run does the stage's work and returns its one-line detail.
+	run func(r *flowRun, ctx context.Context) (string, error)
+	// check is the internal/check rule set the artifacts from arts are
+	// linted against after run (nil arts: no stage-boundary lint).
+	check check.Stage
+	arts  func(r *flowRun) *check.Artifacts
+	// lintInput lints before run instead of after it, so malformed input
+	// fails on a named rule rather than on the parser's error.
+	lintInput bool
+	// skip reports that this run bypasses the stage.
+	skip func(r *flowRun) bool
 }
 
-func (res *Result) continueFromBLIF(ctx context.Context, blifText string, opts Options) (*Result, error) {
-	a := opts.Arch
-	if a == nil {
-		a = arch.Paper()
-	}
-	a = a.Clone()
-	res.Arch = a
-	res.Metrics.Name = res.Source.Name
-	res.Metrics.SourceGates = res.Source.Stats().Logic
-	res.tr.Counter("fault.injected")
-	if dm := opts.Defects; dm != nil {
-		res.tr.Add("fault.injected", int64(dm.Count()))
-		res.tr.Add("fault.dead_wires", int64(len(dm.DeadWires)))
-		res.tr.Add("fault.dead_switches", int64(len(dm.DeadSwitches)))
-		res.tr.Add("fault.bad_sites", int64(len(dm.BadCLBs)+len(dm.BadIOs)))
-		res.tr.Add("fault.stuck_bits", int64(len(dm.StuckBits)))
-	}
+// flowStages is the flow of Fig. 11 in execution order. VHDL runs enter
+// at the VHDL Parser, BLIF runs at the BLIF stage; both continue at SIS.
+var flowStages = []flowStage{
+	{tool: "BLIF", run: (*flowRun).parseBLIF, skip: fromVHDL,
+		check: check.StageNetlist, arts: blifText, lintInput: true},
+	{tool: "VHDL Parser", run: (*flowRun).parseVHDL, skip: fromBLIF},
+	{tool: "DIVINER", run: (*flowRun).synthesize, skip: fromBLIF},
+	{tool: "DRUID", run: (*flowRun).druid, skip: fromBLIF},
+	// Linting the produced BLIF here pins a multi-driven net on E2FMT, not SIS.
+	{tool: "E2FMT", run: (*flowRun).e2fmt, skip: fromBLIF,
+		check: check.StageNetlist, arts: blifText},
+	{tool: "SIS", run: (*flowRun).optimize, check: check.StageNetlist,
+		arts: func(r *flowRun) *check.Artifacts { return &check.Artifacts{Netlist: r.working} }},
+	{tool: "LUT map", run: (*flowRun).lutMap, check: check.StageNetlist,
+		arts: func(r *flowRun) *check.Artifacts { return &check.Artifacts{Netlist: r.Mapped.Netlist, K: r.Arch.CLB.K} }},
+	{tool: "T-VPack", run: (*flowRun).pack, check: check.StagePack,
+		arts: func(r *flowRun) *check.Artifacts { return &check.Artifacts{Packing: r.Packing} }},
+	{tool: "DUTYS", run: (*flowRun).dutys},
+	{tool: "VPR place", seedDependent: true, run: (*flowRun).place, check: check.StagePlace,
+		arts: func(r *flowRun) *check.Artifacts { return &check.Artifacts{Problem: r.Problem, Placement: r.Placed} }},
+	{tool: "VPR route", seedDependent: true, run: (*flowRun).route, check: check.StageRoute,
+		arts: func(r *flowRun) *check.Artifacts {
+			return &check.Artifacts{Graph: r.Routed.Graph, Routing: r.Routed,
+				Problem: r.Problem, Placement: r.Placed}
+		}},
+	// Timing feeds the power model's default clock.
+	{tool: "Timing", seedDependent: true, run: (*flowRun).timing},
+	{tool: "PowerModel", seedDependent: true, run: (*flowRun).power},
+	{tool: "DAGGER", seedDependent: true, run: (*flowRun).dagger, check: check.StageBitstream,
+		arts: func(r *flowRun) *check.Artifacts {
+			return &check.Artifacts{Encoded: r.Encoded, Arch: r.Arch, Packing: r.Packing,
+				Problem: r.Problem, Placement: r.Placed,
+				Graph: r.Routed.Graph, Routing: r.Routed, Bitstream: r.Bits}
+		}},
+	// Closing verification: decode + extract + equivalence.
+	{tool: "Verify", seedDependent: true, run: (*flowRun).verify,
+		skip: func(r *flowRun) bool { return r.opts.SkipVerify }},
+}
 
-	// Stage 5: SIS (technology-independent optimization + decomposition +
-	// LUT mapping).
-	var working *netlist.Netlist
-	err := res.stage(ctx, &opts, "SIS", func(context.Context) error {
-		nl, err := netlist.ParseBLIF(blifText)
-		if err != nil {
-			return err
-		}
-		if err := logic.Optimize(nl, opts.OptimizeOptions); err != nil {
-			return err
-		}
-		if err := logic.Decompose(nl); err != nil {
-			return err
-		}
-		working = nl
-		res.OptimizedBLIF = netlist.FormatBLIF(nl)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d gates after optimization", nl.Stats().Logic)
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{Netlist: nl})
-	})
-	if err != nil {
-		return res, err
-	}
-	err = res.stage(ctx, &opts, "LUT map", func(context.Context) error {
-		var mapped *techmap.Result
-		var err error
-		if opts.Mapper == MapGreedy {
-			mapped, err = techmap.MapGreedy(working, a.CLB.K)
-		} else {
-			mapped, err = techmap.FlowMap(working, a.CLB.K)
-		}
-		if err != nil {
-			return err
-		}
-		res.Mapped = mapped
-		res.Metrics.LUTs = mapped.LUTs
-		res.Metrics.Depth = mapped.Depth
-		res.tr.Add("flow.luts", int64(mapped.LUTs))
-		res.tr.SetGauge("lutmap.depth", float64(mapped.Depth))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d LUTs, depth %d", mapped.LUTs, mapped.Depth)
-		return res.runChecks(&opts, check.StageNetlist, &check.Artifacts{Netlist: mapped.Netlist, K: a.CLB.K})
-	})
-	if err != nil {
-		return res, err
-	}
+func fromVHDL(r *flowRun) bool { return !r.fromBLIF }
+func fromBLIF(r *flowRun) bool { return r.fromBLIF }
 
-	// Stage 6: T-VPack.
-	err = res.stage(ctx, &opts, "T-VPack", func(context.Context) error {
-		pk, err := pack.Pack(res.Mapped.Netlist, pack.Params{
-			N: a.CLB.N, K: a.CLB.K, I: a.CLB.I, GroupGated: opts.PowerAwarePack})
-		if err != nil {
-			return err
-		}
-		res.Packing = pk
-		pk.Record(res.tr)
-		res.Metrics.CLBs = len(pk.Clusters)
-		res.Metrics.Utilization = pk.Utilization()
-		res.tr.Add("flow.clbs", int64(len(pk.Clusters)))
-		detail := fmt.Sprintf("%d CLBs, %.0f%% BLE utilization", len(pk.Clusters), 100*pk.Utilization())
-		if opts.PowerAwarePack {
-			detail += fmt.Sprintf(", %d clocked", pk.ClockedClusters())
-		}
-		res.Stages[len(res.Stages)-1].Detail = detail
-		return res.runChecks(&opts, check.StagePack, &check.Artifacts{Packing: pk})
-	})
-	if err != nil {
-		return res, err
-	}
+func blifText(r *flowRun) *check.Artifacts { return &check.Artifacts{BLIF: r.blif} }
 
-	// Stage 7: DUTYS architecture file.
-	autoSize := opts.Arch == nil || opts.AutoSizeGrid
-	err = res.stage(ctx, &opts, "DUTYS", func(context.Context) error {
-		p, err := place.NewProblem(a, res.Packing)
-		if err != nil {
-			return err
+func (r *flowRun) parseBLIF(context.Context) (string, error) {
+	nl, err := netlist.ParseBLIF(r.blif)
+	if err != nil {
+		return "", err
+	}
+	st := r.setSource(nl)
+	return fmt.Sprintf("%d gates, %d FFs", st.Logic, st.Latches), nil
+}
+
+func (r *flowRun) parseVHDL(context.Context) (string, error) {
+	var err error
+	r.design, err = vhdl.Parse(r.src)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%d entities", len(r.design.Entities)), nil
+}
+
+func (r *flowRun) synthesize(context.Context) (string, error) {
+	nl, err := vhdl.Elaborate(r.design, r.opts.Top)
+	if err != nil {
+		return "", err
+	}
+	st := r.setSource(nl)
+	r.tr.Add("synth.gates", int64(st.Logic))
+	r.tr.Add("synth.ffs", int64(st.Latches))
+	return fmt.Sprintf("%d gates, %d FFs", st.Logic, st.Latches), nil
+}
+
+// setSource installs the reference netlist every equivalence check is
+// made against.
+func (r *flowRun) setSource(nl *netlist.Netlist) netlist.Stats {
+	st := nl.Stats()
+	r.Source = nl
+	r.Metrics.Name = nl.Name
+	r.Metrics.SourceGates = st.Logic
+	return st
+}
+
+func (r *flowRun) druid(context.Context) (string, error) {
+	text, err := edif.Write(r.Source)
+	if err != nil {
+		return "", err
+	}
+	r.EDIF, err = edif.Druid(text)
+	return "", err
+}
+
+func (r *flowRun) e2fmt(context.Context) (string, error) {
+	var err error
+	r.blif, err = edif.E2FMT(r.EDIF)
+	return "", err
+}
+
+// optimize is SIS: technology-independent optimization and decomposition.
+func (r *flowRun) optimize(context.Context) (string, error) {
+	nl, err := netlist.ParseBLIF(r.blif)
+	if err != nil {
+		return "", err
+	}
+	if err := logic.Optimize(nl, r.opts.OptimizeOptions); err != nil {
+		return "", err
+	}
+	if err := logic.Decompose(nl); err != nil {
+		return "", err
+	}
+	r.working = nl
+	r.OptimizedBLIF = netlist.FormatBLIF(nl)
+	return fmt.Sprintf("%d gates after optimization", nl.Stats().Logic), nil
+}
+
+func (r *flowRun) lutMap(context.Context) (string, error) {
+	k := r.Arch.CLB.K
+	var mapped *techmap.Result
+	var err error
+	if r.opts.Mapper == MapGreedy {
+		mapped, err = techmap.MapGreedy(r.working, k)
+	} else {
+		mapped, err = techmap.FlowMap(r.working, k)
+	}
+	if err != nil {
+		return "", err
+	}
+	r.Mapped = mapped
+	r.Metrics.LUTs = mapped.LUTs
+	r.Metrics.Depth = mapped.Depth
+	r.tr.Add("flow.luts", int64(mapped.LUTs))
+	r.tr.SetGauge("lutmap.depth", float64(mapped.Depth))
+	return fmt.Sprintf("%d LUTs, depth %d", mapped.LUTs, mapped.Depth), nil
+}
+
+// pack is T-VPack.
+func (r *flowRun) pack(context.Context) (string, error) {
+	a := r.Arch
+	pk, err := pack.Pack(r.Mapped.Netlist, pack.Params{
+		N: a.CLB.N, K: a.CLB.K, I: a.CLB.I, GroupGated: r.opts.PowerAwarePack})
+	if err != nil {
+		return "", err
+	}
+	r.Packing = pk
+	pk.Record(r.tr)
+	r.Metrics.CLBs = len(pk.Clusters)
+	r.Metrics.Utilization = pk.Utilization()
+	r.tr.Add("flow.clbs", int64(len(pk.Clusters)))
+	detail := fmt.Sprintf("%d CLBs, %.0f%% BLE utilization", len(pk.Clusters), 100*pk.Utilization())
+	if r.opts.PowerAwarePack {
+		detail += fmt.Sprintf(", %d clocked", pk.ClockedClusters())
+	}
+	return detail, nil
+}
+
+// dutys sizes the grid and writes the architecture file.
+func (r *flowRun) dutys(context.Context) (string, error) {
+	a := r.Arch
+	p, err := place.NewProblem(a, r.Packing)
+	if err != nil {
+		return "", err
+	}
+	if r.opts.Arch == nil || r.opts.AutoSizeGrid {
+		p.AutoSize()
+	} else {
+		clbs, pads := p.CountKinds()
+		if clbs > a.LogicCapacity() || pads > a.IOCapacity() {
+			return "", fmt.Errorf("core: design needs %d CLBs / %d pads; fixed %dx%d grid offers %d / %d",
+				clbs, pads, a.Cols, a.Rows, a.LogicCapacity(), a.IOCapacity())
 		}
-		if autoSize {
-			p.AutoSize()
-		} else {
-			clbs, pads := p.CountKinds()
-			if clbs > a.LogicCapacity() || pads > a.IOCapacity() {
-				return fmt.Errorf("core: design needs %d CLBs / %d pads; fixed %dx%d grid offers %d / %d",
-					clbs, pads, a.Cols, a.Rows, a.LogicCapacity(), a.IOCapacity())
+	}
+	r.Problem = p
+	r.ArchFile = arch.Format(a)
+	r.Metrics.GridW, r.Metrics.GridH = a.Cols, a.Rows
+	return fmt.Sprintf("%dx%d grid", a.Cols, a.Rows), nil
+}
+
+func (r *flowRun) place(ctx context.Context) (string, error) {
+	opts := r.opts
+	popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: r.tr,
+		Ctx: ctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
+	mode := "wirelength-driven"
+	if opts.TimingDrivenPlace {
+		// Recomputed per attempt so every hardened-runner attempt weights
+		// against the attempt's own packing.
+		popts.Weights = place.CriticalityWeights(r.Packing, r.Problem, placeCritAlpha)
+		mode = "timing-driven"
+	}
+	var pl *place.Placement
+	var err error
+	if opts.PlaceSeeds > 1 {
+		pl, err = place.PlaceBest(r.Problem, popts, opts.PlaceSeeds)
+		mode = fmt.Sprintf("%s, best of %d seeds", mode, opts.PlaceSeeds)
+	} else {
+		pl, err = place.Place(r.Problem, popts)
+	}
+	if err != nil {
+		return "", err
+	}
+	r.Placed = pl
+	return fmt.Sprintf("cost %.1f (%s)", pl.Cost, mode), nil
+}
+
+func (r *flowRun) route(ctx context.Context) (string, error) {
+	opts, a := r.opts, r.Arch
+	ropts := route.Options{MaxIters: opts.RouteMaxIters, DelayDriven: opts.TimingDrivenRoute,
+		EnergyDriven: opts.EnergyDrivenRoute, Obs: r.tr, Ctx: ctx,
+		Workers: opts.RouteWorkers, Cache: r.rr, Events: opts.Events}
+	if opts.CriticalityDrivenRoute {
+		pk, p, pl := r.Packing, r.Problem, r.Placed
+		ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
+			if routes == nil {
+				// First iteration: no routed delays yet; seed with the
+				// combinational-depth estimate.
+				return timing.StaticNetCriticalities(pk, p)
 			}
-		}
-		res.Problem = p
-		res.ArchFile = arch.Format(a)
-		res.Metrics.GridW, res.Metrics.GridH = a.Cols, a.Rows
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%dx%d grid", a.Cols, a.Rows)
-		return nil
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 8: VPR placement.
-	err = res.stage(ctx, &opts, "VPR place", func(sctx context.Context) error {
-		popts := place.Options{Seed: opts.Seed, InnerNum: opts.PlaceEffort, Fixed: opts.FixedPads, Obs: res.tr,
-			Ctx: sctx, Bad: opts.Defects.BadSiteSet(), Events: opts.Events, Workers: opts.PlaceWorkers}
-		mode := "wirelength-driven"
-		if opts.TimingDrivenPlace {
-			// Recomputed here (inside the stage closure) so every hardened-
-			// runner attempt weights against the attempt's own packing.
-			popts.Weights = place.CriticalityWeights(res.Packing, res.Problem, opts.PlaceCritAlpha)
-			mode = "timing-driven"
-		}
-		var pl *place.Placement
-		var err error
-		if opts.PlaceSeeds > 1 {
-			pl, err = place.PlaceBest(res.Problem, popts, opts.PlaceSeeds)
-			mode = fmt.Sprintf("%s, best of %d seeds", mode, opts.PlaceSeeds)
-		} else {
-			pl, err = place.Place(res.Problem, popts)
-		}
-		if err != nil {
-			return err
-		}
-		res.Placed = pl
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("cost %.1f (%s)", pl.Cost, mode)
-		return res.runChecks(&opts, check.StagePlace, &check.Artifacts{Problem: res.Problem, Placement: pl})
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Stage 9: VPR routing.
-	err = res.stage(ctx, &opts, "VPR route", func(sctx context.Context) error {
-		ropts := route.Options{MaxIters: opts.RouteMaxIters, DelayDriven: opts.TimingDrivenRoute,
-			EnergyDriven: opts.EnergyDrivenRoute, Obs: res.tr, Ctx: sctx,
-			Workers: opts.RouteWorkers, Cache: opts.RRCache, Events: opts.Events}
-		if opts.CriticalityDrivenRoute {
-			pk, p, pl := res.Packing, res.Problem, res.Placed
-			ropts.Criticality = func(g *rrgraph.Graph, routes []*route.NetRoute) []float64 {
-				if routes == nil {
-					// First iteration: no routed delays yet; seed with the
-					// combinational-depth estimate.
-					return timing.StaticNetCriticalities(pk, p)
-				}
-				nc, err := timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})
-				if err != nil {
-					return nil // keep last criticalities on a mid-route analysis failure
-				}
-				return nc
-			}
-		}
-		if opts.Defects != nil {
-			// Re-applied at every channel-width trial: defects are keyed by
-			// structural coordinates, so they survive RR-graph rebuilds and
-			// any tracks added by escalation are defect-free.
-			ropts.Mask = func(g *rrgraph.Graph) {
-				st := opts.Defects.Apply(g)
-				res.tr.Add("fault.rr_dead_nodes", int64(st.DeadWires))
-				res.tr.Add("fault.rr_edges_removed", int64(st.EdgesRemoved))
-			}
-		}
-		if opts.MinChannelWidth {
-			w, r, err := route.MinChannelWidth(res.Problem, res.Placed, 1, a.Routing.ChannelWidth, ropts)
+			nc, err := timing.AnalyzeNetCriticalities(pk, p, pl, &route.Result{Routes: routes, Graph: g})
 			if err != nil {
-				return err
+				return nil // keep last criticalities on a mid-route analysis failure
 			}
-			a.Routing.ChannelWidth = w
-			res.Routed = r
-		} else {
-			g, err := opts.RRCache.Get(a, res.tr)
-			if err != nil {
-				return err
-			}
-			if ropts.Mask != nil {
-				ropts.Mask(g)
-			}
-			r, err := route.Route(res.Problem, res.Placed, g, ropts)
-			if err != nil {
-				return err
-			}
-			if !r.Success {
-				return fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, r.Overused)
-			}
-			res.Routed = r
+			return nc
 		}
-		if err := res.Routed.Validate(res.Problem, res.Placed); err != nil {
-			return err
-		}
-		res.Metrics.ChannelWidth = res.Routed.Graph.W
-		res.Metrics.WirelengthUsed = res.Routed.WirelengthUsed()
-		res.tr.Add("flow.channel_width", int64(res.Routed.Graph.W))
-		res.tr.Add("route.wirelength", int64(res.Metrics.WirelengthUsed))
-		res.tr.Add("flow.nets", int64(len(res.Routed.Routes)))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("W=%d, %d wire segments",
-			res.Routed.Graph.W, res.Routed.WirelengthUsed())
-		return res.runChecks(&opts, check.StageRoute, &check.Artifacts{
-			Graph: res.Routed.Graph, Routing: res.Routed,
-			Problem: res.Problem, Placement: res.Placed,
-		})
-	})
-	if err != nil {
-		return res, err
 	}
-
-	// Timing analysis (feeds the power model's default clock).
-	err = res.stage(ctx, &opts, "Timing", func(context.Context) error {
-		an, err := timing.Analyze(res.Packing, res.Problem, res.Placed, res.Routed)
-		if err != nil {
-			return err
+	if opts.Defects != nil {
+		// Re-applied at every channel-width trial: defects are keyed by
+		// structural coordinates, so they survive RR-graph rebuilds and
+		// any tracks added by escalation are defect-free.
+		ropts.Mask = func(g *rrgraph.Graph) {
+			st := opts.Defects.Apply(g)
+			r.tr.Add("fault.rr_dead_nodes", int64(st.DeadWires))
+			r.tr.Add("fault.rr_edges_removed", int64(st.EdgesRemoved))
 		}
-		res.Timing = an
-		res.Metrics.CriticalPath = an.CriticalPath
-		res.Metrics.MaxClockMHz = an.MaxClockHz / 1e6
-		res.Metrics.DataRateMbps = an.MaxDataRateHz / 1e6
-		res.tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
-		res.tr.SetGauge("timing.fmax_mhz", an.MaxClockHz/1e6)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%.2f ns critical path", an.CriticalPath*1e9)
-		return nil
-	})
-	if err != nil {
-		return res, err
 	}
-
-	// Stage 10: PowerModel.
-	err = res.stage(ctx, &opts, "PowerModel", func(context.Context) error {
-		clock := opts.ClockHz
-		if clock == 0 {
-			clock = res.Timing.MaxClockHz
-		}
-		act, err := sim.EstimateActivityObs(res.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, res.tr)
+	if opts.MinChannelWidth {
+		w, rt, err := route.MinChannelWidth(r.Problem, r.Placed, 1, a.Routing.ChannelWidth, ropts)
 		if err != nil {
-			return err
+			return "", err
 		}
-		rep, err := power.Estimate(res.Packing, res.Problem, res.Placed, res.Routed, act, clock)
+		a.Routing.ChannelWidth = w
+		r.Routed = rt
+	} else {
+		g, err := r.rr.Get(a, r.tr)
 		if err != nil {
-			return err
+			return "", err
 		}
-		res.Power = rep
-		res.Metrics.PowerTotalMW = rep.Total * 1e3
-		res.Metrics.EnergyPJ = rep.Total / clock * 1e12
-		res.tr.SetGauge("power.total_mw", rep.Total*1e3)
-		res.tr.SetGauge("power.energy_pj", res.Metrics.EnergyPJ)
-		res.Metrics.AreaUnits = power.FabricAreaMinWidthUnits(a)
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%.3f mW at %.0f MHz", rep.Total*1e3, clock/1e6)
-		return nil
-	})
-	if err != nil {
-		return res, err
+		if ropts.Mask != nil {
+			ropts.Mask(g)
+		}
+		rt, err := route.Route(r.Problem, r.Placed, g, ropts)
+		if err != nil {
+			return "", err
+		}
+		if !rt.Success {
+			return "", fmt.Errorf("core: %w at W=%d (%d overused)", route.ErrUnroutable, a.Routing.ChannelWidth, rt.Overused)
+		}
+		r.Routed = rt
 	}
+	if err := r.Routed.Validate(r.Problem, r.Placed); err != nil {
+		return "", err
+	}
+	r.Metrics.ChannelWidth = r.Routed.Graph.W
+	r.Metrics.WirelengthUsed = r.Routed.WirelengthUsed()
+	r.tr.Add("flow.channel_width", int64(r.Routed.Graph.W))
+	r.tr.Add("route.wirelength", int64(r.Metrics.WirelengthUsed))
+	r.tr.Add("flow.nets", int64(len(r.Routed.Routes)))
+	return fmt.Sprintf("W=%d, %d wire segments", r.Routed.Graph.W, r.Metrics.WirelengthUsed), nil
+}
 
-	// Publish the per-design QoR record: the delay/energy numbers the
-	// golden suite and benchgate gate on, tagged with the profile that
-	// produced them.
+func (r *flowRun) timing(context.Context) (string, error) {
+	an, err := timing.Analyze(r.Packing, r.Problem, r.Placed, r.Routed)
+	if err != nil {
+		return "", err
+	}
+	r.Timing = an
+	r.Metrics.CriticalPath = an.CriticalPath
+	r.Metrics.MaxClockMHz = an.MaxClockHz / 1e6
+	r.Metrics.DataRateMbps = an.MaxDataRateHz / 1e6
+	r.tr.SetGauge("timing.critical_path_ns", an.CriticalPath*1e9)
+	r.tr.SetGauge("timing.fmax_mhz", an.MaxClockHz/1e6)
+	return fmt.Sprintf("%.2f ns critical path", an.CriticalPath*1e9), nil
+}
+
+// power is the PowerModel stage; it closes by publishing the design's QoR
+// record, which needs the power figures.
+func (r *flowRun) power(context.Context) (string, error) {
+	opts := r.opts
+	clock := opts.ClockHz
+	if clock == 0 {
+		clock = r.Timing.MaxClockHz
+	}
+	act, err := sim.EstimateActivityObs(r.Mapped.Netlist, opts.ActivityCycles, 0.5, opts.Seed, r.tr)
+	if err != nil {
+		return "", err
+	}
+	rep, err := power.Estimate(r.Packing, r.Problem, r.Placed, r.Routed, act, clock)
+	if err != nil {
+		return "", err
+	}
+	r.Power = rep
+	r.Metrics.PowerTotalMW = rep.Total * 1e3
+	r.Metrics.EnergyPJ = rep.Total / clock * 1e12
+	r.tr.SetGauge("power.total_mw", rep.Total*1e3)
+	r.tr.SetGauge("power.energy_pj", r.Metrics.EnergyPJ)
+	r.Metrics.AreaUnits = power.FabricAreaMinWidthUnits(r.Arch)
+	// The per-design QoR record: the delay/energy numbers the golden suite
+	// and benchgate gate on, tagged with the profile that produced them.
 	if opts.Events.Enabled() {
 		opts.Events.Publish(events.Event{Kind: events.KindQoR, QoR: &events.QoREvent{
-			Design:         res.Metrics.Name,
+			Design:         r.Metrics.Name,
 			Profile:        string(opts.Profile),
-			ChannelWidth:   res.Metrics.ChannelWidth,
-			Wirelength:     res.Metrics.WirelengthUsed,
-			CriticalPathNS: res.Metrics.CriticalPath * 1e9,
-			PowerMW:        res.Metrics.PowerTotalMW,
-			EnergyPJ:       res.Metrics.EnergyPJ,
+			ChannelWidth:   r.Metrics.ChannelWidth,
+			Wirelength:     r.Metrics.WirelengthUsed,
+			CriticalPathNS: r.Metrics.CriticalPath * 1e9,
+			PowerMW:        r.Metrics.PowerTotalMW,
+			EnergyPJ:       r.Metrics.EnergyPJ,
 		}})
 	}
-
-	// Stage 11: DAGGER bitstream.
-	err = res.stage(ctx, &opts, "DAGGER", func(context.Context) error {
-		bs, err := bitstream.Generate(res.Packing, res.Problem, res.Placed, res.Routed)
-		if err != nil {
-			return err
-		}
-		res.Bits = bs
-		res.Encoded, err = bitstream.Encode(bs)
-		if err != nil {
-			return err
-		}
-		res.Metrics.BitstreamBits = len(res.Encoded) * 8
-		res.tr.Add("flow.bitstream_bits", int64(res.Metrics.BitstreamBits))
-		res.Stages[len(res.Stages)-1].Detail = fmt.Sprintf("%d bytes", len(res.Encoded))
-		return res.runChecks(&opts, check.StageBitstream, &check.Artifacts{
-			Encoded: res.Encoded, Arch: a, Packing: res.Packing,
-			Problem: res.Problem, Placement: res.Placed,
-			Graph: res.Routed.Graph, Routing: res.Routed,
-			Bitstream: bs,
-		})
-	})
-	if err != nil {
-		return res, err
-	}
-
-	// Closing verification: decode + extract + equivalence.
-	if !opts.SkipVerify {
-		err = res.stage(ctx, &opts, "Verify", func(context.Context) error {
-			bs, err := bitstream.Decode(res.Encoded)
-			if err != nil {
-				return err
-			}
-			extracted, err := bitstream.Extract(bs)
-			if err != nil {
-				return err
-			}
-			if err := sim.CheckEquivalent(res.Source, extracted, 12, 400, opts.Seed+1); err != nil {
-				return fmt.Errorf("core: bitstream does not implement the source design: %w", err)
-			}
-			res.Verified = true
-			res.tr.Add("verify.equivalence_checks", 1)
-			res.Stages[len(res.Stages)-1].Detail = "bitstream equivalent to source"
-			return nil
-		})
-		if err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return fmt.Sprintf("%.3f mW at %.0f MHz", rep.Total*1e3, clock/1e6), nil
 }
 
-// runChecks executes the stage-boundary rule set for one flow stage,
-// records diagnostic counts on the run's trace and fails fast when any
-// error-severity diagnostic fired. It runs inside the stage closure so the
-// returned error carries the stage tag.
-func (res *Result) runChecks(opts *Options, stage check.Stage, arts *check.Artifacts) error {
-	if opts.SkipChecks {
+// dagger generates and encodes the bitstream.
+func (r *flowRun) dagger(context.Context) (string, error) {
+	bs, err := bitstream.Generate(r.Packing, r.Problem, r.Placed, r.Routed)
+	if err != nil {
+		return "", err
+	}
+	r.Bits = bs
+	r.Encoded, err = bitstream.Encode(bs)
+	if err != nil {
+		return "", err
+	}
+	r.Metrics.BitstreamBits = len(r.Encoded) * 8
+	r.tr.Add("flow.bitstream_bits", int64(r.Metrics.BitstreamBits))
+	return fmt.Sprintf("%d bytes", len(r.Encoded)), nil
+}
+
+func (r *flowRun) verify(context.Context) (string, error) {
+	bs, err := bitstream.Decode(r.Encoded)
+	if err != nil {
+		return "", err
+	}
+	extracted, err := bitstream.Extract(bs)
+	if err != nil {
+		return "", err
+	}
+	if err := sim.CheckEquivalent(r.Source, extracted, 12, 400, r.opts.Seed+1); err != nil {
+		return "", fmt.Errorf("core: bitstream does not implement the source design: %w", err)
+	}
+	r.Verified = true
+	r.tr.Add("verify.equivalence_checks", 1)
+	return "bitstream equivalent to source", nil
+}
+
+// lint executes the stage's internal/check rule set, records diagnostic
+// counts on the run's trace and fails fast when any error-severity
+// diagnostic fired.
+func (r *flowRun) lint(st *flowStage) error {
+	if st.arts == nil || r.opts.SkipChecks {
 		return nil
 	}
-	arts.Disable = opts.DisableChecks
-	arts.Defects = opts.Defects
-	rep := check.RunStage(stage, arts)
-	rep.Record(res.tr)
+	arts := st.arts(r)
+	arts.Disable = r.opts.DisableChecks
+	arts.Defects = r.opts.Defects
+	rep := check.RunStage(st.check, arts)
+	rep.Record(r.tr)
 	return rep.Err()
 }
 
@@ -731,13 +721,21 @@ func (res *Result) runChecks(opts *Options, stage check.Stage, arts *check.Artif
 // the cancellation before the runner abandons its goroutine and reports
 // the timeout. Placement and routing cancel cooperatively well within
 // this; CPU-bound stages without cancellation points are left to finish
-// in the background (their writes target the already-recorded Stage slot).
+// in the background.
 const stageAbandonGrace = 250 * time.Millisecond
 
-func (res *Result) stage(ctx context.Context, opts *Options, tool string, fn func(context.Context) error) error {
-	if opts.StageStart != nil {
-		opts.StageStart(tool)
-	}
+// stageOut is what a stage body hands back to the runner.
+type stageOut struct {
+	detail string
+	err    error
+}
+
+// stage runs one table row. It is the single owner of everything every
+// stage shares: the span, the Stage record, flow.stage_seconds and
+// flow.stages, the stage events, the per-stage deadline, the panic shield
+// and the retry classification of a failure.
+func (r *flowRun) stage(ctx context.Context, st *flowStage) error {
+	opts, tool := r.opts, st.tool
 	if opts.Events.Enabled() {
 		opts.Events.Publish(events.Event{Kind: events.KindStage,
 			Stage: &events.StageEvent{Stage: tool, Phase: "start"}})
@@ -751,69 +749,79 @@ func (res *Result) stage(ctx context.Context, opts *Options, tool string, fn fun
 		sctx, cancel = context.WithTimeout(ctx, opts.StageTimeout)
 	}
 	defer cancel()
-	sp := res.tr.Start(tool)
+	sp := r.tr.Start(tool)
 	//fpgavet:ignore walltime stage wall-clock is telemetry only and never feeds QoR decisions
 	start := time.Now()
-	res.Stages = append(res.Stages, Stage{Tool: tool})
-	var err error
+	r.Stages = append(r.Stages, Stage{Tool: tool})
+	var out stageOut
 	if sctx.Done() == nil {
 		// No deadline and no cancellable parent: run inline, no goroutine.
-		err = runShielded(sctx, fn)
+		out = r.shielded(sctx, st)
 	} else {
-		done := make(chan error, 1)
-		go func() { done <- runShielded(sctx, fn) }()
+		done := make(chan stageOut, 1)
+		go func() { done <- r.shielded(sctx, st) }()
 		select {
-		case err = <-done:
+		case out = <-done:
 		case <-sctx.Done():
 			select {
-			case err = <-done:
+			case out = <-done:
 			case <-time.After(stageAbandonGrace):
-				err = sctx.Err()
-				res.tr.Add("flow.stage_abandoned", 1)
+				out = stageOut{err: sctx.Err()}
+				r.tr.Add("flow.stage_abandoned", 1)
 			}
 		}
 	}
-	st := &res.Stages[len(res.Stages)-1]
-	sp.SetDetail("%s", st.Detail)
+	rec := &r.Stages[len(r.Stages)-1]
+	rec.Detail = out.detail
+	sp.SetDetail("%s", out.detail)
 	sp.End()
 	if sp != nil {
 		// The span is the source of truth for the stage's own timing.
-		st.Duration = sp.Wall
-		st.CPU = sp.CPU
-		st.AllocBytes = sp.AllocBytes
+		rec.Duration = sp.Wall
+		rec.CPU = sp.CPU
+		rec.AllocBytes = sp.AllocBytes
 		// Stage wall time feeds the farm's latency distribution, labeled by
 		// stage (bounded: the stage set is fixed). The span already carries
 		// the measurement, so no extra clock read happens here.
-		res.tr.HistogramVec("flow.stage_seconds", "stage").Observe(tool, sp.Wall.Seconds())
+		r.tr.HistogramVec("flow.stage_seconds", "stage").Observe(tool, sp.Wall.Seconds())
 	} else {
 		//fpgavet:ignore walltime fallback duration telemetry when spans are disabled; reporting only
-		st.Duration = time.Since(start)
+		rec.Duration = time.Since(start)
 	}
-	res.tr.Add("flow.stages", 1)
+	r.tr.Add("flow.stages", 1)
 	if opts.Events.Enabled() {
-		end := &events.StageEvent{Stage: tool, Phase: "end", WallNS: st.Duration.Nanoseconds()}
-		if err != nil {
-			end.Err = err.Error()
+		end := &events.StageEvent{Stage: tool, Phase: "end", WallNS: rec.Duration.Nanoseconds()}
+		if out.err != nil {
+			end.Err = out.err.Error()
 		}
 		opts.Events.Publish(events.Event{Kind: events.KindStage, Stage: end})
 	}
-	if err != nil {
-		res.tr.Add("flow.stage_errors", 1)
-		return &StageError{Stage: tool, Err: err, retryable: retryableCause(tool, err)}
+	if out.err != nil {
+		r.tr.Add("flow.stage_errors", 1)
+		return &StageError{Stage: tool, Err: out.err, retryable: retryableCause(st, out.err)}
 	}
 	return nil
 }
 
-// runShielded executes a stage body, converting a panic into a
-// *PanicError so one buggy stage cannot take down the whole runner (or
-// the GUI server driving it).
-func runShielded(ctx context.Context, fn func(context.Context) error) (err error) {
+// shielded runs one stage's work and its stage-boundary lint, converting
+// a panic into a *PanicError so one buggy stage cannot take down the whole
+// runner (or the GUI server driving it).
+func (r *flowRun) shielded(ctx context.Context, st *flowStage) (out stageOut) {
 	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Value: r, Stack: debug.Stack()}
+		if v := recover(); v != nil {
+			out = stageOut{err: &PanicError{Value: v, Stack: debug.Stack()}}
 		}
 	}()
-	return fn(ctx)
+	if st.lintInput {
+		if err := r.lint(st); err != nil {
+			return stageOut{err: err}
+		}
+	}
+	out.detail, out.err = st.run(r, ctx)
+	if out.err == nil && !st.lintInput {
+		out.err = r.lint(st)
+	}
+	return out
 }
 
 // Summary renders the per-stage report like the GUI's log pane.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -9,14 +10,30 @@ import (
 	"fpgaflow/internal/obs"
 )
 
-// TestFlowEmitsSpanPerStage runs the complete flow with an explicit trace
-// and checks the observability contract: the attempt is the single
-// top-level span, every stage appears exactly once nested under it with a
-// nonzero duration, and the stage tools contribute at least six distinct
-// counters.
+// TestFlowEmitsSpanPerStage runs the complete flow from each entry with an
+// explicit trace and checks the observability contract: the attempt is the
+// single top-level span, every stage appears exactly once nested under it
+// with a nonzero duration, the entry's first stage leads, and the stage
+// tools contribute at least six distinct counters.
 func TestFlowEmitsSpanPerStage(t *testing.T) {
+	blif, err := os.ReadFile("../../examples/netlists/count2.blif")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, entry := range []struct {
+		first string
+		run   func(Options) (*Result, error)
+	}{
+		{"VHDL Parser", func(o Options) (*Result, error) { return RunVHDL(circuits.RippleAdder(4).VHDL, o) }},
+		{"BLIF", func(o Options) (*Result, error) { return RunBLIF(string(blif), o) }},
+	} {
+		t.Run(entry.first, func(t *testing.T) { checkSpanPerStage(t, entry.first, entry.run) })
+	}
+}
+
+func checkSpanPerStage(t *testing.T, first string, run func(Options) (*Result, error)) {
 	tr := obs.New("flow-test")
-	res, err := RunVHDL(circuits.RippleAdder(4).VHDL, Options{
+	res, err := run(Options{
 		Seed:    1,
 		ClockHz: 100e6,
 		Obs:     tr,
@@ -65,6 +82,12 @@ func TestFlowEmitsSpanPerStage(t *testing.T) {
 		if n != 1 {
 			t.Errorf("stage %q appears %d times, want exactly once", tool, n)
 		}
+	}
+	if stages[0] != first || res.Stages[0].Tool != first {
+		t.Errorf("first stage span %q, Stage %q; want %q", stages[0], res.Stages[0].Tool, first)
+	}
+	if first != "BLIF" && seen["BLIF"] != 0 {
+		t.Error("a VHDL run recorded the BLIF entry stage")
 	}
 
 	// Every stage's wall time must land in the flow.stage_seconds histogram

@@ -9,7 +9,6 @@ import (
 	"fpgaflow/internal/obs/events"
 	"fpgaflow/internal/place"
 	"fpgaflow/internal/route"
-	"fpgaflow/internal/rrgraph"
 )
 
 // StageError is the structured failure of one flow stage: which tool
@@ -54,22 +53,11 @@ type PanicError struct {
 
 func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 
-// seedDependentStages are the stages whose outcome depends on the
-// placement seed; failures there are worth retrying re-seeded. Everything
-// upstream (parsing, synthesis, mapping, packing) is deterministic in the
-// input alone.
-var seedDependentStages = map[string]bool{
-	"VPR place":  true,
-	"VPR route":  true,
-	"Timing":     true,
-	"PowerModel": true,
-	"DAGGER":     true,
-	"Verify":     true,
-}
-
-// retryableCause classifies a stage failure for the retry policy.
-func retryableCause(stage string, err error) bool {
-	if !seedDependentStages[stage] {
+// retryableCause classifies a stage failure for the retry policy: only a
+// seed-dependent stage (a property of its flow table row) failing for a
+// cause a new seed could change is worth a retry.
+func retryableCause(st *flowStage, err error) bool {
+	if !st.seedDependent {
 		return false
 	}
 	var pe *PanicError
@@ -126,12 +114,6 @@ const reseedStep = 104729
 // consumers can rely on them.
 func runRetry(ctx context.Context, opts Options, attempt func(context.Context, Options) (*Result, error)) (*Result, error) {
 	opts.fill()
-	if opts.RRCache == nil {
-		// One cache per hardened run: re-seeded retries and channel-width
-		// escalation revisit the same (arch, W) graphs, and each trial gets a
-		// private clone so per-attempt defect masks never cross-contaminate.
-		opts.RRCache = rrgraph.NewCache(0)
-	}
 	tr := opts.trace()
 	tr.Counter("flow.attempts")
 	tr.Counter("flow.retries")

@@ -27,6 +27,7 @@ import (
 	"os"
 
 	"fpgaflow/internal/arch"
+	"fpgaflow/internal/obs"
 	"fpgaflow/internal/rrgraph"
 )
 
@@ -196,6 +197,20 @@ func (dm *DefectMap) Count() int {
 		return 0
 	}
 	return len(dm.DeadWires) + len(dm.DeadSwitches) + len(dm.BadCLBs) + len(dm.BadIOs) + len(dm.StuckBits)
+}
+
+// Record reports the injection totals on fault.* counters. fault.injected
+// exists (at zero) even for a nil map, so metrics consumers can rely on it.
+func (dm *DefectMap) Record(tr *obs.Trace) {
+	tr.Counter("fault.injected")
+	if dm == nil {
+		return
+	}
+	tr.Add("fault.injected", int64(dm.Count()))
+	tr.Add("fault.dead_wires", int64(len(dm.DeadWires)))
+	tr.Add("fault.dead_switches", int64(len(dm.DeadSwitches)))
+	tr.Add("fault.bad_sites", int64(len(dm.BadCLBs)+len(dm.BadIOs)))
+	tr.Add("fault.stuck_bits", int64(len(dm.StuckBits)))
 }
 
 // Summary renders per-class defect counts on one line.

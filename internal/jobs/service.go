@@ -708,12 +708,19 @@ func (s *Service) finish(j *job, state State, errText, digest string, metrics *R
 		// job is still open from the WAL's point of view and replays
 	}
 	s.mu.Lock()
+	s.endQueueWait(j) // canceled-while-queued jobs go terminal with the span open
+	s.mu.Unlock()
+	// Persist the job's span tree as an artifact before the terminal state
+	// becomes visible, so a client that sees it (by Wait or by polling
+	// Status) and then fetches trace.json always finds it. Best-effort
+	// telemetry: a failed write is counted, never fails the job.
+	s.writeTrace(j)
+	s.mu.Lock()
 	j.state = state
 	j.errText = errText
 	j.artifact = digest
 	j.metrics = metrics
 	j.cancel = nil
-	s.endQueueWait(j) // canceled-while-queued jobs go terminal with the span open
 	tenant := j.spec.Tenant
 	delete(s.active, j.spec.Tenant+"/"+j.fp)
 	s.mu.Unlock()
@@ -726,12 +733,6 @@ func (s *Service) finish(j *job, state State, errText, digest string, metrics *R
 		s.tr.Add("jobs.canceled", 1)
 	}
 	s.tr.CounterVec("jobs.finished_by_tenant", "tenant").Add(tenant, 1)
-	// Persist the job's span tree as an artifact, then fold its metrics
-	// into the service totals. Both are best-effort telemetry: a failed
-	// trace write is counted, never turns a finished job into a failure.
-	// The trace must be on disk before j.done wakes waiters, so a client
-	// that Waits and then lists artifacts always sees trace.json.
-	s.writeTrace(j)
 	s.tr.MergeFrom(j.tr)
 	s.mu.Lock()
 	close(j.done)

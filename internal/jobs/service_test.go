@@ -427,9 +427,10 @@ func TestSnapshotCountsStates(t *testing.T) {
 	}
 }
 
-// TestRealFlowEndToEnd drives one job through the actual hardened core
-// runner (no injected Runner): the full place/route/bitstream flow on a
-// tiny BLIF design.
+// TestRealFlowEndToEnd drives jobs through the actual hardened core
+// runner (no injected Runner): the full place/route/bitstream/verify flow
+// on a tiny BLIF design, once as the bare fixture and once opening with a
+// '#' comment header, which must still be sniffed as BLIF, not VHDL.
 func TestRealFlowEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real flow in -short mode")
@@ -438,28 +439,31 @@ func TestRealFlowEndToEnd(t *testing.T) {
 		c.Workers = 1
 		c.Runner = nil // the production coreRunner
 	})
-	spec := specFixture("alice")
-	spec.Options.SkipVerify = false
-	st, err := s.Submit(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	final := waitTerminal(t, s, st.ID)
-	if final.State != StateSucceeded {
-		t.Fatalf("real flow finished %s: %s", final.State, final.Error)
-	}
-	if final.Metrics == nil || final.Metrics.BitstreamB == 0 {
-		t.Fatalf("metrics = %+v", final.Metrics)
-	}
-	p, err := s.ArtifactPath(st.ID, "design.bit")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := os.Stat(p)
-	if err != nil || fi.Size() == 0 {
-		t.Fatalf("bitstream artifact: %v size=%d", err, fi.Size())
-	}
-	if _, err := os.Stat(filepath.Join(filepath.Dir(p), "result.json")); err != nil {
-		t.Fatalf("result.json: %v", err)
+	commented := specFixture("bob")
+	commented.Source = "# and2, written by hand\n\n" + commented.Source
+	for _, spec := range []Spec{specFixture("alice"), commented} {
+		spec.Options.SkipVerify = false
+		st, err := s.Submit(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := waitTerminal(t, s, st.ID)
+		if final.State != StateSucceeded {
+			t.Fatalf("%s: real flow finished %s: %s", spec.Tenant, final.State, final.Error)
+		}
+		if final.Metrics == nil || final.Metrics.BitstreamB == 0 || !final.Metrics.Verified {
+			t.Fatalf("%s: metrics = %+v", spec.Tenant, final.Metrics)
+		}
+		p, err := s.ArtifactPath(st.ID, "design.bit")
+		if err != nil {
+			t.Fatal(err)
+		}
+		fi, err := os.Stat(p)
+		if err != nil || fi.Size() == 0 {
+			t.Fatalf("bitstream artifact: %v size=%d", err, fi.Size())
+		}
+		if _, err := os.Stat(filepath.Join(filepath.Dir(p), "result.json")); err != nil {
+			t.Fatalf("result.json: %v", err)
+		}
 	}
 }

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"fpgaflow/internal/core"
+	"fpgaflow/internal/netlist"
 )
 
 // MaxSourceBytes bounds the design source accepted in a job spec. It
@@ -176,7 +177,5 @@ func (s *Spec) coreOptions() core.Options {
 }
 
 // IsBLIF reports whether the source enters the flow at the BLIF stage
-// (same sniff the GUI uses: a BLIF file leads with .model).
-func (s *Spec) IsBLIF() bool {
-	return strings.HasPrefix(strings.TrimSpace(s.Source), ".model")
-}
+// (netlist.IsBLIF, the sniff every front end shares).
+func (s *Spec) IsBLIF() bool { return netlist.IsBLIF(s.Source) }

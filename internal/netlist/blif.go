@@ -222,6 +222,20 @@ func ReadBLIF(r io.Reader) (*Netlist, error) {
 	return nl, nil
 }
 
+// IsBLIF sniffs whether text is a BLIF netlist: its first non-blank,
+// non-comment line is a .model or .inputs directive. Skipping '#' lines
+// matters: BLIF files often open with a comment header.
+func IsBLIF(text string) bool {
+	for _, line := range strings.Split(text, "\n") {
+		line = strings.TrimSpace(line)
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		return strings.HasPrefix(line, ".model") || strings.HasPrefix(line, ".inputs")
+	}
+	return false
+}
+
 // ParseBLIF parses BLIF text.
 func ParseBLIF(text string) (*Netlist, error) {
 	return ReadBLIF(strings.NewReader(text))
